@@ -4,9 +4,14 @@ The paper's Algorithm 3 computes neighborhood aggregation with a *dense
 segment sum*: neighbor representations are stored contiguously per node, so
 aggregation is a sum over variable-length contiguous segments delimited by
 ``nbr_offsets``. These kernels (``segment_sum``, ``segment_mean``,
-``segment_softmax``) are the reproduction of that computation model, built on
-``np.add.reduceat`` which is the CPU analogue of the fused GPU segment kernels
-MariusGNN uses.
+``segment_softmax``) are the reproduction of that computation model, the CPU
+analogue of the fused GPU segment kernels MariusGNN uses.
+
+``segment_sum`` adds each segment's rows in order, in the values' dtype
+(float32 by default), rounding after every add — the same contract as
+:func:`~repro.nn.tensor.scatter_add_rows`, which it equals bit for bit on
+the per-element segment ids. It walks all segments in lock step, longest
+first, so each step is one vectorised add over the segments still running.
 """
 
 from __future__ import annotations
@@ -38,18 +43,16 @@ def segment_ids_from_offsets(offsets: np.ndarray, total: int) -> np.ndarray:
     """Expand segment ``offsets`` into a per-element segment-id array.
 
     ``offsets[i]`` is the start index of segment ``i`` within a flat array of
-    length ``total``. Empty segments are allowed.
+    length ``total``. Empty segments are allowed; offsets at or past
+    ``total`` start empty segments, and elements before ``offsets[0]`` are
+    labelled segment 0.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    ids = np.zeros(total, dtype=np.int64)
+    offsets = np.minimum(np.asarray(offsets, dtype=np.int64), total)
     if len(offsets) == 0:
-        return ids
-    # Mark segment starts (skipping duplicates from empty segments handled below)
-    np.add.at(ids, offsets[offsets < total], 1)
-    ids = np.cumsum(ids) - 1
-    # Elements before the first offset (should not happen when offsets[0] == 0)
-    np.clip(ids, 0, len(offsets) - 1, out=ids)
-    return ids
+        return np.zeros(total, dtype=np.int64)
+    counts = segment_counts(offsets, total)
+    counts[0] += offsets[0]
+    return np.repeat(np.arange(len(offsets), dtype=np.int64), counts)
 
 
 def segment_counts(offsets: np.ndarray, total: int) -> np.ndarray:
@@ -64,31 +67,38 @@ def segment_sum(values: Tensor, offsets: np.ndarray, num_segments: Optional[int]
 
     ``offsets`` holds segment start indices; segment ``i`` spans
     ``values[offsets[i] : offsets[i+1]]`` (last segment runs to the end).
+    Segments past ``len(offsets)`` (up to ``num_segments``) are empty.
     Matches the dense ``segment_sum`` of the paper's Algorithm 3 line 2.
+
+    Each segment is summed in row order (see the module docstring): with
+    segments sorted by length, longest first, the segments still running at
+    position ``k`` form a prefix, so position ``k`` is a single
+    ``acc[:live] += values[starts[:live] + k]``.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n = values.data.shape[0]
     if num_segments is None:
         num_segments = len(offsets)
+    out_data = np.zeros((num_segments,) + values.data.shape[1:], dtype=values.data.dtype)
     if num_segments == 0:
-        out_shape = (0,) + values.data.shape[1:]
-        return Tensor(np.zeros(out_shape, dtype=values.data.dtype))
+        return Tensor(out_data)
 
     counts = segment_counts(offsets, n)
-    # reduceat misbehaves on empty segments (equal or out-of-range indices),
-    # so reduce only over the non-empty ones: their offsets are strictly
-    # increasing and each non-empty segment's range ends exactly where the
-    # next non-empty segment begins.
-    out_data = np.zeros((num_segments,) + values.data.shape[1:], dtype=values.data.dtype)
-    nonempty = counts > 0
-    if n > 0 and nonempty.any():
-        out_data[nonempty] = np.add.reduceat(values.data, offsets[nonempty], axis=0)
+    order = np.argsort(-counts, kind="stable")
+    starts = offsets[order]
+    # live[k] = number of segments longer than k: a prefix of ``order``.
+    neg_sorted = -counts[order]
+    live = np.searchsorted(neg_sorted, -np.arange(counts.max(initial=0)))
+    acc = np.zeros((len(counts),) + values.data.shape[1:], dtype=values.data.dtype)
+    for k, m in enumerate(live.tolist()):
+        acc[:m] += values.data.take(starts[:m] + k, axis=0)
+    out_data[order] = acc
 
     seg_ids = segment_ids_from_offsets(offsets, n)
 
     def backward(grad: np.ndarray) -> None:
         if values.requires_grad:
-            values._accumulate(grad[seg_ids])
+            values._accumulate(grad.take(seg_ids, axis=0))
 
     return Tensor._make(out_data, (values,), backward)
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import functional as F
 from .init import glorot_uniform, zeros_init
 from .module import Module
-from .tensor import Tensor
+from .tensor import Tensor, scatter_add_rows
 
 
 @dataclass
@@ -163,8 +163,8 @@ def _segment_max(values: Tensor, offsets: np.ndarray, num_segments: int) -> Tens
         expanded = out_data[seg_ids]
         mask = values.data == expanded
         # Split ties evenly, mirroring Tensor.max.
-        tie_counts = np.zeros_like(out_data)
-        np.add.at(tie_counts, seg_ids, mask.astype(values.data.dtype))
+        tie_counts = scatter_add_rows(mask.astype(values.data.dtype), seg_ids,
+                                      num_segments)
         denom = np.maximum(tie_counts[seg_ids], 1.0)
         values._accumulate(grad[seg_ids] * mask / denom)
 

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, scatter_add_rows
 
 
 class Optimizer:
@@ -187,9 +187,7 @@ class RowAdagrad:
             return
         unique, inverse = np.unique(rows, return_inverse=True)
         if len(unique) != len(rows):
-            merged = np.zeros((len(unique), grads.shape[1]), dtype=grads.dtype)
-            np.add.at(merged, inverse, grads)
-            grads = merged
+            grads = scatter_add_rows(grads, inverse, len(unique))
             rows = unique
         state[rows] += grads**2
         table[rows] -= self.lr * grads / (np.sqrt(state[rows]) + self.eps)

@@ -16,8 +16,13 @@ Design notes
   gradients into ``.grad`` of leaf tensors with ``requires_grad=True``.
 * Broadcasting is supported for elementwise ops; gradients are un-broadcast
   by summing over broadcast axes.
-* Gather gradients use ``np.add.at`` (scatter-add), which is the same
-  semantics as PyTorch's ``index_select`` backward.
+* Gather gradients are a scatter-add (:func:`scatter_add_rows`), the same
+  semantics as PyTorch's ``index_select`` backward. Its summation contract
+  is *in index order in the values' dtype* (float32 by default): row ``r``
+  of the result is ``0 + v[i0] + v[i1] + ...`` over the positions ``i0 <
+  i1 < ...`` whose index is ``r``, rounded after every add. The segment
+  kernels in :mod:`repro.nn.functional` keep the same contract, so a
+  segment sum equals the scatter-add of its rows by segment id bit for bit.
 """
 
 from __future__ import annotations
@@ -55,6 +60,26 @@ def _as_array(value: ArrayLike, dtype=np.float32) -> np.ndarray:
             return value
         return value.astype(dtype)
     return np.asarray(value, dtype=dtype)
+
+
+def scatter_add_rows(values: np.ndarray, index: np.ndarray,
+                     num_rows: int) -> np.ndarray:
+    """Return ``out`` of ``num_rows`` rows with ``out[index[i]] += values[i]``.
+
+    Adds run for ``i`` in order, in ``values.dtype`` — bit-identical to
+    ``np.add.at(out, index, values)`` on a zero table. Row adds go through
+    ``ufunc.at``'s 1-D fast path over the flattened table (flat index
+    ``index[:, None] * width + arange(width)``), which keeps that order per
+    element. ``index`` must be non-negative and below ``num_rows``.
+    """
+    values = np.asarray(values)
+    index = np.asarray(index, dtype=np.int64)
+    row_shape = values.shape[index.ndim:]
+    out = np.zeros((num_rows,) + row_shape, dtype=values.dtype)
+    width = int(np.prod(row_shape, dtype=np.int64))
+    flat = (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, values.reshape(-1))
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -384,13 +409,12 @@ class Tensor:
     def index_select(self, indices: np.ndarray) -> "Tensor":
         """Gather rows by integer ``indices`` (first axis). Backward is scatter-add."""
         indices = np.asarray(indices)
-        out_data = self.data[indices]
+        out_data = self.data.take(indices, axis=0)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                acc = np.zeros_like(self.data)
-                np.add.at(acc, indices, grad)
-                self._accumulate(acc)
+                self._accumulate(scatter_add_rows(grad, indices,
+                                                  self.data.shape[0]))
 
         return Tensor._make(out_data, (self,), backward)
 

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..nn.tensor import scatter_add_rows
 from ..storage.node_store import NodeStore
 
 #: Safety margin added to every cluster bound: float32 scoring of a
@@ -98,8 +99,7 @@ def _kmeans(block: np.ndarray, num_clusters: int,
         d2 = sq[:, None] - 2.0 * (x64 @ centroids.T) \
             + (centroids * centroids).sum(axis=1)[None, :]
         assign = d2.argmin(axis=1)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, x64)
+        sums = scatter_add_rows(x64, assign, c)
         counts = np.bincount(assign, minlength=c)
         filled = counts > 0
         centroids[filled] = sums[filled] / counts[filled, None]

@@ -20,6 +20,7 @@ import numpy as np
 from ..api import registry as job_registry
 from ..core.encoder import GNNEncoder
 from ..core.sampler import DenseSampler
+from ..graph.csr import AdjacencyIndex
 from ..graph.datasets import NodeClassificationDataset
 from ..graph.edge_list import Graph
 from ..graph.partition import PartitionScheme
@@ -213,16 +214,23 @@ class NodeClassificationTrainer(ListenerHooks):
 
     def evaluate(self, nodes: np.ndarray, batch_size: int = 1000) -> float:
         return evaluate_classifier(self.model, self.dataset.graph, nodes,
-                                   self.config, batch_size=batch_size)
+                                   self.config, batch_size=batch_size,
+                                   index=self.sampler.index)
 
 
 def evaluate_classifier(model: NodeClassifier, graph: Graph, nodes: np.ndarray,
                         config: NodeClassificationConfig,
-                        batch_size: int = 1000, seed: int = 99) -> float:
-    """Accuracy over ``nodes`` with full-graph neighborhood sampling."""
+                        batch_size: int = 1000, seed: int = 99,
+                        index: Optional[AdjacencyIndex] = None) -> float:
+    """Accuracy over ``nodes`` with full-graph neighborhood sampling.
+
+    ``index`` is a pre-built full-graph adjacency index over ``graph`` (with
+    ``config.directions``); pass one to skip re-sorting the edge list on
+    every call. The draws are the same either way.
+    """
     rng = np.random.default_rng(seed)
     sampler = DenseSampler(graph, list(config.fanouts),
-                           directions=config.directions, rng=rng)
+                           directions=config.directions, rng=rng, index=index)
     model.eval()
     preds = np.empty(len(nodes), dtype=np.int64)
     nodes = np.asarray(nodes, dtype=np.int64)
@@ -233,9 +241,8 @@ def evaluate_classifier(model: NodeClassifier, graph: Graph, nodes: np.ndarray,
             h0 = Tensor(graph.node_features[batch.node_ids])
             logits = model(h0, batch).data
             # chunk is sorted-unique; map back to the original positions
-            pred_of = dict(zip(chunk.tolist(), logits.argmax(axis=1).tolist()))
-            for offset, node in enumerate(nodes[start : start + batch_size]):
-                preds[start + offset] = pred_of[int(node)]
+            preds[start : start + batch_size] = logits.argmax(axis=1)[
+                np.searchsorted(chunk, nodes[start : start + batch_size])]
     model.train()
     return multiclass_accuracy(preds, graph.node_labels[nodes])
 
@@ -359,6 +366,7 @@ class DiskNodeClassificationTrainer(ListenerHooks):
         self._start_epoch = 0
         self._start_step = 0
         self._steps_done = 0
+        self._eval_index: Optional[AdjacencyIndex] = None
 
     # ------------------------------------------------------------------
     def _store_fingerprints(self) -> dict:
@@ -475,6 +483,13 @@ class DiskNodeClassificationTrainer(ListenerHooks):
         return record
 
     def evaluate(self, nodes: np.ndarray, batch_size: int = 1000) -> float:
-        """Full-graph in-memory evaluation (standard protocol)."""
+        """Full-graph in-memory evaluation (standard protocol).
+
+        The full-graph index is built on the first call and reused after.
+        """
+        if self._eval_index is None:
+            self._eval_index = AdjacencyIndex(self.dataset.graph,
+                                              directions=self.config.directions)
         return evaluate_classifier(self.model, self.dataset.graph, nodes,
-                                   self.config, batch_size=batch_size)
+                                   self.config, batch_size=batch_size,
+                                   index=self._eval_index)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor, functional as F, no_grad
+from repro.nn.tensor import scatter_add_rows
 from tests.conftest import numeric_gradient
 
 
@@ -15,6 +16,29 @@ def random_offsets(rng, num_segments, total):
         return np.empty(0, dtype=np.int64)
     cuts = np.sort(rng.integers(0, total + 1, size=num_segments - 1))
     return np.concatenate([[0], cuts]).astype(np.int64)
+
+
+def segment_ids_cumsum(offsets, total):
+    """The earlier cumsum-of-start-marks expansion, kept as a reference."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    ids = np.zeros(total, dtype=np.int64)
+    if len(offsets) == 0:
+        return ids
+    np.add.at(ids, offsets[offsets < total], 1)
+    ids = np.cumsum(ids) - 1
+    np.clip(ids, 0, len(offsets) - 1, out=ids)
+    return ids
+
+
+def segment_sum_in_order(values, offsets, num_segments):
+    """Pure-Python reference: each segment summed row by row, in order."""
+    n = len(values)
+    out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
+    bounds = list(offsets) + [n]
+    for seg in range(len(offsets)):
+        for row in range(bounds[seg], bounds[seg + 1]):
+            out[seg] = out[seg] + values[row]
+    return out
 
 
 class TestSegmentIds:
@@ -29,6 +53,31 @@ class TestSegmentIds:
     def test_counts(self):
         counts = F.segment_counts(np.array([0, 2, 2, 3]), 4)
         np.testing.assert_array_equal(counts, [2, 0, 1, 1])
+
+    @pytest.mark.parametrize("offsets,total", [
+        ([2, 4], 6),           # elements before the first offset
+        ([0, 3, 5, 5], 5),     # trailing offsets equal to total
+        ([0, 2, 7], 5),        # an offset past total
+        ([1, 1, 4, 4], 4),
+        ([3], 3),
+        ([], 4),
+        ([0, 0, 0], 0),
+    ])
+    def test_edge_cases_match_cumsum_expansion(self, offsets, total):
+        np.testing.assert_array_equal(F.segment_ids_from_offsets(offsets, total),
+                                      segment_ids_cumsum(offsets, total))
+
+    @settings(max_examples=60, deadline=None)
+    @given(total=st.integers(0, 30), segs=st.integers(0, 8),
+           lead=st.integers(0, 3), seed=st.integers(0, 10_000))
+    def test_property_matches_cumsum_expansion(self, total, segs, lead, seed):
+        rng = np.random.default_rng(seed)
+        offsets = np.sort(rng.integers(0, total + 1, segs))
+        if segs and not lead:
+            offsets[0] = 0
+        got = F.segment_ids_from_offsets(offsets, total)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, segment_ids_cumsum(offsets, total))
 
 
 class TestSegmentSum:
@@ -71,6 +120,31 @@ class TestSegmentSum:
         out = F.segment_sum(Tensor(vals), offsets)
         np.testing.assert_allclose(out.data.sum(axis=0), vals.sum(axis=0),
                                    atol=1e-3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=10),
+           extra=st.integers(0, 3), width=st.sampled_from([None, 1, 5]),
+           seed=st.integers(0, 10_000))
+    @example(counts=[0, 7, 0, 3, 0], extra=2, width=None, seed=0)
+    @example(counts=[0, 9, 0, 4, 0], extra=1, width=5, seed=1)
+    def test_property_in_order_sum_bit_identical(self, counts, extra, width, seed):
+        """Bit-equal to the in-order reference and to the scatter-add.
+
+        ``counts`` draws empty first, middle and last segments; ``extra``
+        adds segments past ``len(offsets)``; ``width=None`` is 1-D values.
+        """
+        rng = np.random.default_rng(seed)
+        n = int(sum(counts))
+        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
+        num_segments = len(offsets) + extra
+        shape = (n,) if width is None else (n, width)
+        vals = (rng.normal(0, 1, shape) * 10.0 ** rng.integers(-3, 4, shape)).astype(np.float32)
+        got = F.segment_sum(Tensor(vals), offsets, num_segments).data
+        want = segment_sum_in_order(vals, offsets, num_segments)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        ids = F.segment_ids_from_offsets(offsets, n)
+        assert got.tobytes() == scatter_add_rows(vals, ids, num_segments).tobytes()
 
 
 class TestSegmentMean:

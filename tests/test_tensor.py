@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor, concat, no_grad
+from repro.nn.tensor import scatter_add_rows
 from tests.conftest import numeric_gradient
 
 
@@ -117,6 +118,53 @@ class TestIndexing:
         t = Tensor(np.arange(4, dtype=np.float32).reshape(4, 1), requires_grad=True)
         out = t[np.array([3, 0])]
         np.testing.assert_allclose(out.data.ravel(), [3.0, 0.0])
+
+
+class TestScatterAddRows:
+    """``scatter_add_rows`` is bit-identical to ``np.add.at`` on a zero table."""
+
+    @staticmethod
+    def reference(values, index, num_rows):
+        out = np.zeros((num_rows,) + values.shape[index.ndim:], dtype=values.dtype)
+        np.add.at(out, index, values)
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 40), num_rows=st.integers(1, 6),
+           width=st.sampled_from([None, 1, 3, 8]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 10_000))
+    def test_property_bit_identical_to_add_at(self, n, num_rows, width, dtype, seed):
+        # Few rows and many entries: most rows receive many duplicate adds,
+        # where a different summation order would change the rounding.
+        rng = np.random.default_rng(seed)
+        index = rng.integers(0, num_rows, n)
+        shape = (n,) if width is None else (n, width)
+        values = (rng.normal(0, 1, shape) * 10.0 ** rng.integers(-3, 4, shape)).astype(dtype)
+        got = scatter_add_rows(values, index, num_rows)
+        want = self.reference(values, index, num_rows)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_multidim_index(self):
+        rng = np.random.default_rng(3)
+        index = rng.integers(0, 4, (5, 3))
+        values = rng.normal(0, 1, (5, 3, 2)).astype(np.float32)
+        got = scatter_add_rows(values, index, 4)
+        assert got.tobytes() == self.reference(values, index, 4).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 30), num_rows=st.integers(1, 5),
+           seed=st.integers(0, 10_000))
+    def test_property_index_select_grad_unchanged(self, n, num_rows, seed):
+        """The gather's gradient is the in-order ``np.add.at`` scatter."""
+        rng = np.random.default_rng(seed)
+        table = Tensor(rng.normal(0, 1, (num_rows, 4)).astype(np.float32),
+                       requires_grad=True)
+        index = rng.integers(0, num_rows, n)
+        weight = rng.normal(0, 1, (n, 4)).astype(np.float32)
+        (table.index_select(index) * Tensor(weight)).sum().backward()
+        assert table.grad.tobytes() == self.reference(weight, index, num_rows).tobytes()
 
 
 class TestNonlinearities:

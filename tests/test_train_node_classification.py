@@ -7,7 +7,7 @@ from repro.graph import load_papers100m_mini
 from repro.train import (DiskNodeClassificationConfig,
                          DiskNodeClassificationTrainer,
                          NodeClassificationConfig, NodeClassificationTrainer,
-                         relabel_for_training_cache)
+                         evaluate_classifier, relabel_for_training_cache)
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +105,19 @@ class TestDisk:
                                                 buffer_capacity=6)
         disk = DiskNodeClassificationTrainer(nc_data, fast_config(), disk_cfg).train()
         assert disk.final_accuracy > mem.final_accuracy - 0.15
+
+
+def test_evaluate_reuses_index_with_same_draws(nc_data, tmp_path):
+    """Trainers evaluate over a pre-built index (the disk trainer caches its
+    full-graph one); predictions equal a fresh-index evaluation exactly."""
+    disk = DiskNodeClassificationConfig(workdir=tmp_path, num_partitions=8,
+                                        buffer_capacity=4)
+    for trainer in (NodeClassificationTrainer(nc_data, fast_config(num_epochs=1)),
+                    DiskNodeClassificationTrainer(nc_data, fast_config(num_epochs=1),
+                                                  disk)):
+        trainer.train()
+        nodes = trainer.dataset.test_nodes
+        fresh = evaluate_classifier(trainer.model, trainer.dataset.graph, nodes,
+                                    trainer.config, batch_size=200)
+        assert trainer.evaluate(nodes, batch_size=200) == fresh
+        assert trainer.evaluate(nodes, batch_size=200) == fresh
